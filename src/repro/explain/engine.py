@@ -171,9 +171,9 @@ class ExplanationEngine:
 
     ``stage_store`` plugs in a per-question artifact store (duck-typed:
     ``load(stage) -> Optional[dict]`` and ``save(stage, payload)``).
-    Completed stage artifacts (``seed``, ``simplify``, ``projected``,
-    ``lift``) are saved through it and later runs resume mid-pipeline
-    from whatever loads -- the persistence behind
+    Completed stage artifacts (``simplify``, ``projected``, ``lift``)
+    are saved through it and later runs resume mid-pipeline from
+    whatever loads -- the persistence behind
     :mod:`repro.farm.store`.  The store must be scoped to a single
     question (the farm keys it by job); degraded stage outputs are
     never saved.
@@ -456,10 +456,6 @@ class ExplanationEngine:
             except GOVERNED_ERRORS as exc:
                 seed_error = exc
         timings["seed"] = span.duration
-        if seed is not None and self.stage_store is not None:
-            from .serialize import seed_to_dict
-
-            self._save_stage("seed", seed_to_dict(seed))
         if seed is None:
             return self._finish(
                 Explanation(

@@ -156,3 +156,37 @@ def test_job_store_scopes_one_key(tmp_path):
     assert scoped.load("simplify") == {"v": 1}
     other = JobStore(store, "cd" * 32)
     assert other.load("simplify") is None
+
+
+@pytest.mark.parametrize("hot_artifacts", [0, 4])
+def test_save_writes_the_canonical_envelope(tmp_path, hot_artifacts):
+    """The single-pass envelope equals the canonical JSON of the
+    envelope dict, non-ASCII escapes included, and loads back whether
+    the hot cache is on or off."""
+    from repro.farm.keys import canonical_json, digest
+    from repro.farm.store import STORE_SCHEMA
+
+    payload = {
+        "name": "Zürich → \U0001f310",
+        "nested": {"quote": 'say "hi"\n', "list": [1, "é", None, 2.5]},
+        "empty": {},
+    }
+    writer = ArtifactStore(str(tmp_path), hot_artifacts=hot_artifacts)
+    writer.save(KEY, "lift", payload)
+    with open(writer.path_for(KEY, "lift"), "rb") as handle:
+        written = handle.read()
+    expected = canonical_json(
+        {
+            "schema": STORE_SCHEMA,
+            "key": KEY,
+            "stage": "lift",
+            "integrity": digest(payload),
+            "payload": payload,
+        }
+    )
+    assert written == expected.encode("ascii")
+    assert writer.load(KEY, "lift") == payload
+    reader = ArtifactStore(str(tmp_path), hot_artifacts=hot_artifacts)
+    assert reader.load(KEY, "lift") == payload
+    assert reader.load(KEY, "lift") == payload
+    assert reader.stats == {"hit.lift": 2}

@@ -121,6 +121,31 @@ class TestFairShare:
         assert first_four.count("scenario2") == 3
         assert first_four.count("scenario3") == 1
 
+    def test_tenant_joining_under_a_spent_bank_is_dispatched(self):
+        """A tenant appended to the rotation while the cursor's bank is
+        still held by another tenant must bank its own weight -- not
+        inherit the other tenant's stop (which used to raise KeyError in
+        the scheduler and kill the runner thread)."""
+        queue = JobQueue(
+            runner=lambda request, progress=None, stop=None: _report(
+                scenario=request.name
+            ),
+            concurrency=1,
+        )
+        for _ in range(2):
+            job = queue.submit(
+                api.ExplainRequest(scenario="scenario1", no_cache=True),
+                tenant="a",
+            )
+            assert _wait_terminal(queue, job.id).state == api.STATE_DONE
+        late = queue.submit(
+            api.ExplainRequest(scenario="scenario2", no_cache=True),
+            tenant="b",
+        )
+        assert _wait_terminal(queue, late.id, timeout=10.0).state == api.STATE_DONE
+        assert queue.metrics.counters["serve.sched.dispatch"] == 3
+        queue.drain(timeout=10.0)
+
     def test_tenants_complete_under_concurrency(self):
         queue = JobQueue(
             runner=lambda request, progress=None, stop=None: _report(
