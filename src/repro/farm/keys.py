@@ -25,7 +25,15 @@ from ..spec.ast import Specification
 from ..spec.printer import format_specification
 from ..topology.graph import Topology
 
-__all__ = ["FarmOptions", "canonical_json", "digest", "job_key", "KEY_SCHEMA"]
+__all__ = [
+    "FarmOptions",
+    "canonical_digest",
+    "canonical_json",
+    "digest",
+    "job_key",
+    "spliced_json",
+    "KEY_SCHEMA",
+]
 
 #: Bumped whenever the key payload shape changes, so stale cache
 #: entries from older code can never be served.
@@ -41,7 +49,26 @@ def canonical_json(payload: object) -> str:
 
 def digest(payload: object) -> str:
     """SHA-256 hex digest of the canonical JSON form of ``payload``."""
-    return hashlib.sha256(canonical_json(payload).encode("ascii")).hexdigest()
+    return canonical_digest(payload)[1]
+
+
+def canonical_digest(payload: object) -> Tuple[str, str]:
+    """``(canonical_json(payload), digest(payload))`` from one serialization."""
+    text = canonical_json(payload)
+    return text, hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+def spliced_json(fields: Dict[str, object], name: str, text: str) -> str:
+    """``canonical_json({**fields, name: value})`` where ``text`` is
+    already ``canonical_json(value)``: the serialized value is spliced
+    in rather than serialized again."""
+    members = {key: canonical_json(value) for key, value in fields.items()}
+    members[name] = text
+    return (
+        "{"
+        + ",".join(f"{canonical_json(key)}:{members[key]}" for key in sorted(members))
+        + "}"
+    )
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 from repro.bgp.routemap import RouteMap, RouteMapLine
 from repro.farm import ExplainJob, FarmOptions, enumerate_jobs, job_key
-from repro.farm.keys import canonical_json, digest
+from repro.farm.keys import canonical_digest, canonical_json, digest, spliced_json
 
 
 def _renumber(config, router, direction, neighbor, offset):
@@ -27,6 +27,16 @@ def _renumber(config, router, direction, neighbor, offset):
 def test_canonical_json_is_order_independent():
     assert canonical_json({"b": 1, "a": 2}) == canonical_json({"a": 2, "b": 1})
     assert digest({"b": 1, "a": 2}) == digest({"a": 2, "b": 1})
+
+
+def test_spliced_json_equals_canonical_json_of_the_whole():
+    value = {"é": ['"q"\n', None, 1.5], "b": {}}
+    text, sha = canonical_digest(value)
+    assert (text, sha) == (canonical_json(value), digest(value))
+    fields = {"zeta": "Zürich", "a\"b": 3, "m": [True], "payload0": "x"}
+    assert spliced_json(fields, "payload", text) == canonical_json(
+        {**fields, "payload": value}
+    )
 
 
 def test_job_key_is_deterministic(s1):
