@@ -489,7 +489,12 @@ class ExplanationEngine:
             else:
                 try:
                     simplified = simplify_seed(
-                        seed, rules=self.rules, governor=governor, obs=self.obs
+                        seed, rules=self.rules, governor=governor, obs=self.obs,
+                        memo=(
+                            self.shared.rewrite_memo(self.rules)
+                            if self.shared is not None
+                            else None
+                        ),
                     )
                     from .serialize import simplified_to_dict
 

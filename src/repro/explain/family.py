@@ -28,6 +28,9 @@ cache layer a worker process threads through every family member:
   *sketches* whenever the statement's encoding never traverses a
   symbolized route-map -- then the term is hole-free and, by
   hash-consing, identical under every sibling sketch.
+* ``rewrite_memo`` keeps one exact-replay rewrite memo per rule set:
+  siblings simplify near-identical seeds, and a replayed script yields
+  the very normal form, statistics and counters a cold rewrite would.
 * ``certify`` maintains one assumption-based SAT session per family
   (:class:`~repro.smt.incremental.TermSession`): the family's union
   sketch is encoded **once**, and every member's projected verdicts are
@@ -61,6 +64,7 @@ from ..bgp.simulation import ConvergenceError, simulate
 from ..bgp.sketch import Hole, is_hole
 from ..obs import Instrumentation
 from ..smt import Term, TermSession
+from ..smt.rewrite import ALL_RULES, RewriteRule, Script
 from ..smt.builders import And
 from ..spec.ast import Specification
 from ..synthesis.encoder import Encoder, Encoding
@@ -507,6 +511,8 @@ class SharedCaches:
         self._statement_terms: Dict[str, Tuple[Optional[Term], frozenset]] = {}
         self._members: Dict[tuple, Tuple[object, ...]] = {}
         self._sessions: Dict[tuple, Optional[_FamilySession]] = {}
+        #: rule names -> rewrite memo (see :meth:`rewrite_memo`).
+        self._rewrite_memos: Dict[Tuple[str, ...], Dict[Term, Script]] = {}
 
     # -- seed sharing ---------------------------------------------------
 
@@ -599,6 +605,21 @@ class SharedCaches:
         return SeedSpecification(
             constraint=constraint, encoding=restricted, holes=dict(holes)
         )
+
+    # -- simplify sharing -----------------------------------------------
+
+    def rewrite_memo(
+        self, rules: Optional[Sequence[RewriteRule]] = None
+    ) -> Dict[Term, Script]:
+        """The rewrite memo of one rule set (``None``: all 15 rules).
+
+        Keyed by the rules' names, so ablation subsets never share
+        scripts, and an equal list of rule objects finds the same memo.
+        Replayed scripts reproduce a cold engine's output and counters
+        exactly (see :class:`~repro.smt.rewrite.RewriteEngine`).
+        """
+        key = tuple(rule.name for rule in (ALL_RULES if rules is None else rules))
+        return self._rewrite_memos.setdefault(key, {})
 
     # -- lift sharing ---------------------------------------------------
 

@@ -16,6 +16,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 from ..obs import Instrumentation
 from ..runtime import Governor
 from ..smt import And, RewriteEngine, RewriteRule, RewriteStats, Term
+from ..smt.rewrite import Script
 from .seed import SeedSpecification
 
 __all__ = ["SimplifiedSeed", "simplify_seed", "cone_of_influence"]
@@ -47,9 +48,13 @@ def simplify_seed(
     use_cone_of_influence: bool = False,
     governor: Optional[Governor] = None,
     obs: Optional[Instrumentation] = None,
+    memo: Optional[Dict[Term, Script]] = None,
 ) -> SimplifiedSeed:
     """Apply the rewrite rules (optionally after a cone-of-influence
-    restriction to the symbolized variables) until fixpoint."""
+    restriction to the symbolized variables) until fixpoint.
+
+    ``memo`` is a rewrite memo shared with sibling questions (see
+    :class:`~repro.smt.rewrite.RewriteEngine`); it changes no output."""
     constraint = seed.constraint
     input_constraints = len(constraint.conjuncts())
     if use_cone_of_influence:
@@ -58,7 +63,7 @@ def simplify_seed(
         )
         constraint = cone_of_influence(constraint, hole_vars)
     stats = RewriteStats()
-    engine = RewriteEngine(rules, governor=governor, obs=obs)
+    engine = RewriteEngine(rules, governor=governor, obs=obs, memo=memo)
     simplified = engine.simplify(constraint, stats)
     # Report sizes relative to the original seed even when the cone
     # restriction already removed conjuncts.

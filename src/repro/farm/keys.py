@@ -32,6 +32,8 @@ __all__ = [
     "digest",
     "job_key",
     "spliced_json",
+    "spliced_member",
+    "text_digest",
     "KEY_SCHEMA",
 ]
 
@@ -55,7 +57,12 @@ def digest(payload: object) -> str:
 def canonical_digest(payload: object) -> Tuple[str, str]:
     """``(canonical_json(payload), digest(payload))`` from one serialization."""
     text = canonical_json(payload)
-    return text, hashlib.sha256(text.encode("ascii")).hexdigest()
+    return text, text_digest(text)
+
+
+def text_digest(text: str) -> str:
+    """SHA-256 hex digest of already-canonical JSON ``text``."""
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
 def spliced_json(fields: Dict[str, object], name: str, text: str) -> str:
@@ -69,6 +76,23 @@ def spliced_json(fields: Dict[str, object], name: str, text: str) -> str:
         + ",".join(f"{canonical_json(key)}:{members[key]}" for key in sorted(members))
         + "}"
     )
+
+
+def spliced_member(text: str, fields: Dict[str, object], name: str) -> Optional[str]:
+    """The inverse of :func:`spliced_json`: the serialized ``name``
+    member when ``text`` is exactly ``spliced_json(fields, name,
+    member)``, else ``None`` (other members differ or the framing is
+    not canonical).  The member itself is sliced out, not parsed."""
+    # NUL never appears in canonical JSON (ensure_ascii escapes it), so
+    # it marks the member's place unambiguously.
+    head, _, tail = spliced_json(fields, name, "\0").partition("\0")
+    if (
+        len(text) <= len(head) + len(tail)
+        or not text.startswith(head)
+        or not text.endswith(tail)
+    ):
+        return None
+    return text[len(head):len(text) - len(tail)]
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,11 @@ Layout (ccache-style fan-out to keep directories small)::
     <cache_dir>/<key[:2]>/<key>.<stage>.json
 
 Each file is a schema-versioned envelope wrapping one JSON artifact
-payload plus an integrity hash; anything that fails to parse, carries
-the wrong schema, or does not hash to its recorded integrity value is
-treated as a miss (and counted), never as an error -- a corrupted cache
+payload plus an integrity hash; anything that fails to parse, is not
+framed exactly as ``save`` writes it (canonical JSON with this key,
+stage and schema), or whose payload text does not hash to its recorded
+integrity value is treated as a miss (and counted), never as an
+error -- a corrupted cache
 must degrade to a cold run, not break the batch.
 
 Stages are free-form strings; the farm uses ``simplify``,
@@ -25,7 +27,13 @@ import threading
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
-from .keys import canonical_digest, canonical_json, digest, spliced_json
+from .keys import (
+    canonical_digest,
+    canonical_json,
+    spliced_json,
+    spliced_member,
+    text_digest,
+)
 
 __all__ = [
     "STORE_SCHEMA",
@@ -124,26 +132,40 @@ class ArtifactStore:
             return json.loads(hot)
         try:
             with open(path, "r", encoding="ascii") as handle:
-                envelope = json.load(handle)
+                text = handle.read()
+            envelope = json.loads(text)
         except (OSError, ValueError):
             if os.path.exists(path):
                 self._count("corrupt", stage)
             self._count("miss", stage)
             return None
+        # ``save`` writes exactly canonical_json(envelope), so the
+        # payload's canonical text is a slice of the file: hash that
+        # slice instead of serializing the parsed payload again.  The
+        # framing check pins schema, key and stage as well.
+        payload_text = None
         if (
-            not isinstance(envelope, dict)
-            or envelope.get("schema") != STORE_SCHEMA
-            or envelope.get("key") != key
-            or envelope.get("stage") != stage
-            or not isinstance(envelope.get("payload"), dict)
-            or envelope.get("integrity") != digest(envelope["payload"])
+            isinstance(envelope, dict)
+            and isinstance(envelope.get("payload"), dict)
+            and isinstance(envelope.get("integrity"), str)
         ):
+            payload_text = spliced_member(
+                text,
+                {
+                    "schema": STORE_SCHEMA,
+                    "key": key,
+                    "stage": stage,
+                    "integrity": envelope["integrity"],
+                },
+                "payload",
+            )
+        if payload_text is None or text_digest(payload_text) != envelope["integrity"]:
             self._count("corrupt", stage)
             self._count("miss", stage)
             return None
         self._count("hit", stage)
         if self.hot_artifacts:
-            self._remember(key, stage, canonical_json(envelope["payload"]))
+            self._remember(key, stage, payload_text)
         return envelope["payload"]
 
     def _write_atomic(self, path: str, text: str) -> bool:

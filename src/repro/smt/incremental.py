@@ -8,7 +8,8 @@ each variant from a cold solver throws away everything the previous
 call learned.
 
 This module keeps one :class:`~repro.smt.sat.SatSolver` alive across
-queries instead:
+queries instead (between solves the solver also keeps its watch lists
+and its propagated root level, re-attaching only after new clauses):
 
 * :class:`IncrementalSession` is the clause-level session -- add
   clauses, then ``solve(assumptions=...)`` repeatedly.  Learned
@@ -93,7 +94,7 @@ class IncrementalSession:
     @property
     def learned_clauses(self) -> int:
         """Learned clauses currently retained by the solver."""
-        return sum(1 for clause in self._solver.clauses if clause.learned)
+        return self._solver.num_learned
 
     def add_clause(self, literals: Iterable[int]) -> None:
         self._solver.add_clause(literals)

@@ -36,6 +36,7 @@ __all__ = [
     "RewriteEngine",
     "ALL_RULES",
     "RULES_BY_NAME",
+    "Script",
     "simplify",
 ]
 
@@ -388,12 +389,28 @@ class RewriteStats:
         return self.input_size / self.output_size
 
 
+#: One memo entry: the children a cold engine normalizes while
+#: reducing a term (in order, over every pass), the names of the rules
+#: that fired at the term's own node, and the normal form.
+Script = Tuple[Tuple[Term, ...], Tuple[str, ...], Term]
+
+
 class RewriteEngine:
     """Applies a rule set bottom-up to a global fixpoint.
 
     Instances are reusable; the normal-form cache is keyed per engine
     so that engines configured with different rule subsets (for the
     ablation study) never share results.
+
+    ``memo`` is an optional dict shared by engines with the same rules
+    (see :meth:`repro.explain.family.SharedCaches.rewrite_memo`).  For
+    every term an engine reduces it records a :data:`Script`; a later
+    engine that meets the term replays the script against its own
+    cache instead of re-running the rules.  Replay normalizes the same
+    children in the same order and records the same rule applications,
+    so results, :class:`RewriteStats` and ``rewrite.*`` counters equal
+    a cold engine's.  A governed engine ignores the memo: governed runs
+    checkpoint on every rule that fires.
     """
 
     def __init__(
@@ -402,39 +419,66 @@ class RewriteEngine:
         max_passes: int = 10_000,
         governor: Optional[Governor] = None,
         obs: Optional[Instrumentation] = None,
+        memo: Optional[Dict[Term, Script]] = None,
     ) -> None:
         self.rules: Tuple[RewriteRule, ...] = tuple(rules) if rules is not None else ALL_RULES
         self.max_passes = max_passes
         self.governor = governor
         self.obs = obs
+        self.memo = memo if governor is None else None
         self._cache: Dict[Term, Term] = {}
+        #: Counter increments of the running ``simplify`` call, flushed
+        #: to ``obs`` once when it ends.
+        self._tally: Dict[str, int] = {}
 
     def simplify(self, term: Term, stats: Optional[RewriteStats] = None) -> Term:
         """Return the normal form of ``term`` under this engine's rules."""
         if stats is not None:
             stats.input_size = term.size()
-        result = self._normalize(term, stats, depth=0)
+        self._tally = tally = {}
+        try:
+            result = self._normalize(term, stats)
+        finally:
+            if self.obs is not None:
+                for name, amount in tally.items():
+                    self.obs.count(name, amount)
         if stats is not None:
             stats.output_size = result.size()
         return result
 
-    def _normalize(self, term: Term, stats: Optional[RewriteStats], depth: int) -> Term:
+    def _note(self, name: str) -> None:
+        self._tally[name] = self._tally.get(name, 0) + 1
+
+    def _fired(self, rule_name: str, stats: Optional[RewriteStats]) -> None:
+        self._note("rewrite.steps")
+        self._note(f"rewrite.rule.{rule_name}")
+        if stats is not None:
+            stats.record(rule_name)
+
+    def _normalize(self, term: Term, stats: Optional[RewriteStats]) -> Term:
         cached = self._cache.get(term)
         if cached is not None:
-            if self.obs is not None:
-                self.obs.count("rewrite.cache_hits")
+            self._note("rewrite.cache_hits")
             return cached
+        memo = self.memo
+        if memo is not None:
+            script = memo.get(term)
+            if script is not None:
+                return self._replay(term, script, stats)
+        normalized: List[Term] = []
+        fired: List[str] = []
         current = term
         for _ in range(self.max_passes):
             if current.children:
+                normalized.extend(current.children)
                 new_children = tuple(
-                    self._normalize(child, stats, depth + 1) for child in current.children
+                    self._normalize(child, stats) for child in current.children
                 )
                 if new_children != current.children:
                     current = Term(
                         current.kind, current.sort, new_children, current.payload, current.domain
                     )
-            rewritten = self._apply_once(current, stats)
+            rewritten = self._apply_once(current, stats, fired)
             if rewritten is None:
                 break
             current = rewritten
@@ -444,19 +488,35 @@ class RewriteEngine:
             stats.passes += 1
         self._cache[term] = current
         self._cache[current] = current
+        if memo is not None:
+            memo[term] = (tuple(normalized), tuple(fired), current)
+            # A cold engine reduces the normal form in one pass over
+            # its (already normal) children with no rule firing.
+            memo.setdefault(current, (current.children, (), current))
         return current
 
-    def _apply_once(self, term: Term, stats: Optional[RewriteStats]) -> Optional[Term]:
+    def _replay(self, term: Term, script: Script, stats: Optional[RewriteStats]) -> Term:
+        children, fired, result = script
+        for child in children:
+            self._normalize(child, stats)
+        for rule_name in fired:
+            self._fired(rule_name, stats)
+        if stats is not None:
+            stats.passes += 1
+        self._cache[term] = result
+        self._cache[result] = result
+        return result
+
+    def _apply_once(
+        self, term: Term, stats: Optional[RewriteStats], fired: List[str]
+    ) -> Optional[Term]:
         for rule in self.rules:
             rewritten = rule.apply(term)
             if rewritten is not None and rewritten is not term:
                 if self.governor is not None:
                     self.governor.checkpoint("rewrite")
-                if self.obs is not None:
-                    self.obs.count("rewrite.steps")
-                    self.obs.count(f"rewrite.rule.{rule.name}")
-                if stats is not None:
-                    stats.record(rule.name)
+                self._fired(rule.name, stats)
+                fired.append(rule.name)
                 return rewritten
         return None
 

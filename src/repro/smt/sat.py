@@ -76,9 +76,14 @@ class SatSolver:
         result = solver.solve()
 
     ``solve()`` may be called repeatedly (with different assumptions,
-    and with further ``add_clause`` calls in between); each call resets
-    the search state but keeps learned clauses, variable activities,
-    and saved phases, so related queries get cheaper over time.  The
+    and with further ``add_clause`` calls in between).  The first call
+    attaches the watches and propagates the root units; later calls
+    keep both -- together with learned clauses, variable activities and
+    saved phases -- and start straight from the assumptions, so related
+    queries get cheaper over time.  An ``add_clause`` after a solve
+    marks the watches stale and the next call rebuilds them.  A
+    conflict at decision level 0 means the clause set alone is
+    unsatisfiable, so every later call answers UNSAT at once.  The
     ``conflicts``/``decisions``/``propagations``/``restarts`` counters
     on both the solver and its results are cumulative across calls.
     """
@@ -106,6 +111,13 @@ class SatSolver:
         self._activity_inc = 1.0
         self._activity_decay = 0.95
         self._empty_clause = False
+        #: Watches attached and root units propagated; cleared by
+        #: ``add_clause`` and by an interrupted search.
+        self._attached = False
+        #: A conflict at decision level 0 was found: UNSAT for good.
+        self._root_conflict = False
+        #: Learned clauses kept in ``clauses`` (never deleted).
+        self.num_learned = 0
         self.conflicts = 0
         self.decisions = 0
         self.propagations = 0
@@ -116,7 +128,7 @@ class SatSolver:
     # ------------------------------------------------------------------
 
     def add_clause(self, literals: Iterable[int]) -> None:
-        """Add a clause; must be called before :meth:`solve`."""
+        """Add a clause; the next :meth:`solve` re-attaches every watch."""
         unique: List[int] = []
         seen = set()
         for literal in literals:
@@ -132,6 +144,7 @@ class SatSolver:
             return
         clause = _Clause(unique)
         self.clauses.append(clause)
+        self._attached = False
 
     def _attach_all(self) -> bool:
         """Attach watches; returns False if a top-level conflict exists."""
@@ -303,7 +316,14 @@ class SatSolver:
 
     def solve(self, assumptions: Sequence[int] = ()) -> SatResult:
         """Solve the formula, optionally under unit ``assumptions``."""
-        result = self._solve(assumptions)
+        try:
+            result = self._solve(assumptions)
+        except BaseException:
+            # A governor interrupt can leave a root-level conflict
+            # unanalysed or level-0 literals unpropagated; the next
+            # call starts over from a clean root.
+            self._attached = False
+            raise
         if self.obs is not None:
             self.obs.count("sat.calls")
             self.obs.count("sat.conflicts", result.conflicts)
@@ -313,13 +333,8 @@ class SatSolver:
         return result
 
     def _reset_search(self) -> None:
-        """Return to a clean root state before a new search.
-
-        Repeated ``solve()`` calls on one solver (the incremental
-        session's bread and butter) must not observe the previous
-        call's trail, assumption levels, or propagation queue --
-        including after UNSAT exits that never reached the main loop.
-        """
+        """Clear the whole trail, root level included, before the
+        watches are rebuilt."""
         for literal in self._trail:
             variable = abs(literal)
             self._values[variable] = _UNASSIGNED
@@ -329,20 +344,35 @@ class SatSolver:
         self._trail_limits.clear()
         self._qhead = 0
 
-    def _solve(self, assumptions: Sequence[int]) -> SatResult:
+    def _root(self) -> bool:
+        """Bring the solver to a propagated root level; False when the
+        clause set alone is unsatisfiable.
+
+        Later calls must not observe the previous call's assumption
+        levels: every exit backtracks to level 0, and so does this.
+        The level-0 trail and the watches survive between calls until
+        ``add_clause`` or an interrupted search marks them stale.
+        """
+        self._backtrack(0)
+        if self._empty_clause or self._root_conflict:
+            return False
+        if self._attached:
+            return True
         self._reset_search()
+        if not self._attach_all() or self._propagate() is not None:
+            self._root_conflict = True
+            return False
+        self._attached = True
+        return True
+
+    def _solve(self, assumptions: Sequence[int]) -> SatResult:
         for literal in assumptions:
             if literal == 0 or abs(literal) > self.num_vars:
                 raise ValueError(
                     f"assumption literal {literal} out of range (num_vars={self.num_vars})"
                 )
         assumption_set = frozenset(assumptions)
-        if self._empty_clause:
-            return self._result(False)
-        if not self._attach_all():
-            return self._result(False)
-        conflict = self._propagate()
-        if conflict is not None:
+        if not self._root():
             return self._result(False)
         for literal in assumptions:
             if self._value_of(literal) == _TRUE:
@@ -367,6 +397,9 @@ class SatSolver:
                 self.conflicts += 1
                 if self.governor is not None:
                     self.governor.checkpoint("sat")
+                if not self._trail_limits:
+                    self._root_conflict = True
+                    return self._result(False)
                 if len(self._trail_limits) <= assumption_level:
                     core = self._assumption_core(conflict.literals, assumption_set)
                     return self._result(False, core=core)
@@ -376,6 +409,7 @@ class SatSolver:
                 clause = _Clause(learned, learned=True)
                 if len(learned) > 1:
                     self.clauses.append(clause)
+                    self.num_learned += 1
                     self._watch(clause, learned[0])
                     self._watch(clause, learned[1])
                 self._enqueue(learned[0], clause if len(learned) > 1 else None)

@@ -11,6 +11,7 @@ construction.
 
 from __future__ import annotations
 
+import functools
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from ..topology.graph import Topology
@@ -55,9 +56,22 @@ def violates_forbidden(
     managed router -- the operator cannot influence traffic that never
     enters the managed network.
     """
-    for start, end in matching_slices(pattern, traffic_path):
-        slice_hops = traffic_path.hops[start:end]
-        if not managed or any(hop in managed for hop in slice_hops):
+    return _violates(traffic_path.hops, pattern, frozenset(managed))
+
+
+#: Distinct ``(hops, pattern, managed)`` verdicts kept per process.
+#: The encoders and verifiers ask about the same ~2k paths of an input
+#: over and over (once per symbolized component).
+FORBIDDEN_CACHE_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=FORBIDDEN_CACHE_SIZE)
+def _violates(
+    hops: Tuple[str, ...], pattern: PathPattern, managed: FrozenSet[str]
+) -> bool:
+    path = Path(hops)
+    for start, end in matching_slices(pattern, path):
+        if not managed or any(hop in managed for hop in hops[start:end]):
             return True
     return False
 

@@ -2,7 +2,14 @@
 
 from repro.bgp.routemap import RouteMap, RouteMapLine
 from repro.farm import ExplainJob, FarmOptions, enumerate_jobs, job_key
-from repro.farm.keys import canonical_digest, canonical_json, digest, spliced_json
+from repro.farm.keys import (
+    canonical_digest,
+    canonical_json,
+    digest,
+    spliced_json,
+    spliced_member,
+    text_digest,
+)
 
 
 def _renumber(config, router, direction, neighbor, offset):
@@ -37,6 +44,21 @@ def test_spliced_json_equals_canonical_json_of_the_whole():
     assert spliced_json(fields, "payload", text) == canonical_json(
         {**fields, "payload": value}
     )
+
+
+def test_spliced_member_inverts_spliced_json():
+    value = {"é": ['"q"\n', None, 1.5], "b": {}}
+    text, sha = canonical_digest(value)
+    assert text_digest(text) == sha
+    fields = {"zeta": "Zürich", "a\"b": 3, "payload0": "x"}
+    whole = spliced_json(fields, "payload", text)
+    assert spliced_member(whole, fields, "payload") == text
+    # Another member's value, a missing member or non-canonical
+    # framing is not the same document.
+    assert spliced_member(whole, {**fields, "zeta": "Zurich"}, "payload") is None
+    assert spliced_member(whole, {"zeta": "Zürich"}, "payload") is None
+    assert spliced_member(whole.replace(":", ": ", 1), fields, "payload") is None
+    assert spliced_member(spliced_json(fields, "payload", ""), fields, "payload") is None
 
 
 def test_job_key_is_deterministic(s1):

@@ -59,6 +59,41 @@ def test_wrong_schema_reads_as_miss(tmp_path):
     assert store.load(KEY, "seed") is None
 
 
+def test_redumped_envelope_is_a_corrupt_miss(tmp_path):
+    """Loads hash the payload's slice of the file, so a file whose
+    envelope was re-serialized with ``json.dump`` defaults (same
+    content, different framing) reads as corrupt."""
+    store = ArtifactStore(str(tmp_path))
+    store.save(KEY, "seed", {"v": 1, "w": [1, 2]})
+    path = store.path_for(KEY, "seed")
+    with open(path) as handle:
+        envelope = json.load(handle)
+    with open(path, "w") as handle:
+        json.dump(envelope, handle)
+    assert store.load(KEY, "seed") is None
+    assert store.stats["corrupt.seed"] == 1
+
+
+def test_envelope_under_another_key_is_a_corrupt_miss(tmp_path):
+    store = ArtifactStore(str(tmp_path))
+    store.save(KEY, "seed", {"v": 1})
+    other = "cd" * 32
+    os.makedirs(os.path.dirname(store.path_for(other, "seed")), exist_ok=True)
+    os.replace(store.path_for(KEY, "seed"), store.path_for(other, "seed"))
+    assert store.load(other, "seed") is None
+    assert store.stats["corrupt.seed"] == 1
+
+
+def test_load_keeps_the_payload_slice_as_hot_text(tmp_path):
+    from repro.farm.keys import canonical_json
+
+    payload = {"b": [1, {"é": None}], "a": "x"}
+    ArtifactStore(str(tmp_path)).save(KEY, "lift", payload)
+    reader = ArtifactStore(str(tmp_path), hot_artifacts=4)
+    assert reader.load(KEY, "lift") == payload
+    assert reader._recall(KEY, "lift") == canonical_json(payload)
+
+
 def test_malformed_key_and_stage_rejected(tmp_path):
     store = ArtifactStore(str(tmp_path))
     with pytest.raises(StoreError):

@@ -11,6 +11,7 @@ import random
 import pytest
 
 from repro.obs import Instrumentation
+from repro.runtime import Governor, ResourceExhausted, WorkBudget
 from repro.smt import (
     And,
     BoolVar,
@@ -271,3 +272,172 @@ class TestIncrementalVsFreshProperty:
                     num_vars, clauses + [[literal] for literal in assumptions]
                 )
                 assert incremental.satisfiable == fresh.satisfiable
+
+
+def random_cnf(rng, num_vars, num_clauses, width=3):
+    return [
+        [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, num_vars + 1), width)]
+        for _ in range(num_clauses)
+    ]
+
+
+def pigeonhole(pigeons, holes):
+    """Pigeons-into-holes: unsatisfiable when pigeons > holes, and only
+    refuted by search (no clause is a unit)."""
+    var = lambda p, h: p * holes + h + 1  # noqa: E731
+    clauses = [[var(p, h) for h in range(holes)] for p in range(pigeons)]
+    for h in range(holes):
+        for p in range(pigeons):
+            for q in range(p + 1, pigeons):
+                clauses.append([-var(p, h), -var(q, h)])
+    return pigeons * holes, clauses
+
+
+def counted_attach(solver):
+    calls = []
+    attach = solver._attach_all
+
+    def counting():
+        calls.append(1)
+        return attach()
+
+    solver._attach_all = counting
+    return calls
+
+
+class TestSessionKeepsWatches:
+    """The solver attaches watches and propagates root units once, then
+    answers later solves from the kept root level."""
+
+    def test_randomized_sequences_match_fresh_solves(self):
+        """Seeded random 3-CNFs near the phase transition, assumption
+        sequences, clauses added between solves and one solve cut short
+        by a governor: every verdict equals a fresh solver's, SAT models
+        satisfy clauses and assumptions, and every core is an UNSAT
+        subset of the assumptions."""
+        rng = random.Random(15)
+        interrupted = 0
+        for _ in range(12):
+            num_vars = rng.randint(20, 30)
+            clauses = random_cnf(rng, num_vars, int(4.2 * num_vars))
+            solver = SatSolver(num_vars)
+            for clause in clauses:
+                solver.add_clause(clause)
+            interrupt_at = rng.randrange(10)
+            for step in range(10):
+                if step in (3, 7):
+                    extra = random_cnf(rng, num_vars, 2)
+                    clauses.extend(extra)
+                    for clause in extra:
+                        solver.add_clause(clause)
+                assumptions = [
+                    v if rng.random() < 0.5 else -v
+                    for v in rng.sample(range(1, num_vars + 1), rng.randint(0, 4))
+                ]
+                if step == interrupt_at:
+                    solver.governor = Governor(budget=WorkBudget(conflicts=1))
+                    try:
+                        solver.solve(assumptions)
+                    except ResourceExhausted:
+                        interrupted += 1
+                    solver.governor = None
+                result = solver.solve(assumptions)
+                fresh = solve_clauses(num_vars, clauses + [[a] for a in assumptions])
+                assert result.satisfiable == fresh.satisfiable, (clauses, assumptions)
+                if result.satisfiable:
+                    assert check_model(clauses, result.assignment)
+                    assert check_model([[a] for a in assumptions], result.assignment)
+                else:
+                    assert set(result.core) <= set(assumptions)
+                    assert not solve_clauses(
+                        num_vars, clauses + [[a] for a in result.core]
+                    ).satisfiable
+        assert interrupted, "no solve was cut short; the governor case went untested"
+
+    def test_attach_runs_once_without_new_clauses(self):
+        rng = random.Random(3)
+        solver = SatSolver(20)
+        for clause in random_cnf(rng, 20, 60):
+            solver.add_clause(clause)
+        calls = counted_attach(solver)
+        for _ in range(8):
+            solver.solve([rng.choice([1, -1]) * rng.randint(1, 20)])
+        assert len(calls) == 1
+
+    def test_add_clause_after_solve_reattaches(self):
+        solver = SatSolver(3)
+        solver.add_clause([1, 2])
+        calls = counted_attach(solver)
+        assert solver.solve().satisfiable
+        assert solver.solve([-1]).satisfiable
+        solver.add_clause([-2])
+        assert not solver.solve([-1]).satisfiable
+        assert solver.solve().satisfiable
+        assert len(calls) == 2
+
+    def test_root_units_survive_between_solves(self):
+        solver = SatSolver(3)
+        solver.add_clause([1])
+        solver.add_clause([-1, 2])
+        assert solver.solve().satisfiable
+        result = solver.solve([-2])
+        assert not result.satisfiable
+        assert result.core == (-2,)
+        assert solver.solve([3]).assignment == {1: True, 2: True, 3: True}
+
+    def test_root_unsat_at_attach_stays_unsat(self):
+        solver = SatSolver(2)
+        solver.add_clause([1])
+        solver.add_clause([-1, 2])
+        solver.add_clause([-2])
+        for assumptions in ((), (1,), (-1, 2)):
+            result = solver.solve(assumptions)
+            assert not result.satisfiable
+            assert result.core == ()
+
+    def test_root_conflict_found_by_search_stays_unsat(self):
+        num_vars, clauses = pigeonhole(4, 3)
+        solver = SatSolver(num_vars)
+        for clause in clauses:
+            solver.add_clause(clause)
+        assert not solver.solve().satisfiable
+        conflicts = solver.conflicts
+        assert conflicts > 0
+        for assumptions in ((1,), (-1, -2), ()):
+            result = solver.solve(assumptions)
+            assert not result.satisfiable
+            assert result.core == ()
+        # Answered without searching again.
+        assert solver.conflicts == conflicts
+
+    def test_solve_cut_short_at_its_root_conflict_stays_unsat(self):
+        # The last conflict refuting pigeonhole is at level 0; a budget
+        # one conflict short interrupts exactly there, before the
+        # conflict is analysed.  The next solve must not trust the
+        # half-propagated root level.
+        num_vars, clauses = pigeonhole(4, 3)
+        reference = SatSolver(num_vars)
+        for clause in clauses:
+            reference.add_clause(clause)
+        assert not reference.solve().satisfiable
+        solver = SatSolver(
+            num_vars,
+            governor=Governor(budget=WorkBudget(conflicts=reference.conflicts - 1)),
+        )
+        for clause in clauses:
+            solver.add_clause(clause)
+        with pytest.raises(ResourceExhausted):
+            solver.solve()
+        solver.governor = None
+        assert not solver.solve().satisfiable
+        assert not solver.solve([1]).satisfiable
+
+    def test_learned_clause_count_is_kept_running(self):
+        num_vars, clauses = pigeonhole(4, 3)
+        session = IncrementalSession(num_vars)
+        session.add_clauses(clauses)
+        session.solve([1])
+        session.solve([2])
+        scanned = sum(1 for clause in session._solver.clauses if clause.learned)
+        assert scanned > 0
+        assert session.learned_clauses == scanned

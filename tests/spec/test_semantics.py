@@ -61,6 +61,20 @@ class TestViolatesForbidden:
         managed = frozenset({"R1"})
         assert violates_forbidden(Path(("R1", "P1")), pattern, managed)
 
+    def test_verdicts_are_memoized_within_a_bound(self):
+        from repro.spec import semantics
+
+        pattern = PathPattern.of("P1", WILDCARD, "P2")
+        path = Path(("P1", "R1", "P2"))
+        before = semantics._violates.cache_info()
+        # A plain set is accepted and keys the same entry as a frozenset.
+        assert violates_forbidden(path, pattern, {"R1"})
+        assert violates_forbidden(path, pattern, frozenset({"R1"}))
+        assert not violates_forbidden(path, pattern, {"R9"})
+        after = semantics._violates.cache_info()
+        assert after.hits - before.hits >= 1
+        assert after.maxsize == semantics.FORBIDDEN_CACHE_SIZE
+
 
 class TestExpandPreference:
     def make_preference(self):
