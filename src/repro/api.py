@@ -20,13 +20,9 @@ All four carry schema-versioned ``to_json``/``from_json``; unknown
 schemas are rejected, not guessed at.  :func:`explain_batch` is the
 single execution entry point: it resolves the request's inputs, runs
 the supervised farm (retries, quarantine, crash-safe journal -- see
-:mod:`repro.farm.supervise`) and wraps the outcome.
-
-The pre-facade entry points (``repro.farm.run_batch`` and friends
-imported from the *package root*) still work but emit a
-``DeprecationWarning`` for one release; import from
-``repro.farm.pool`` / ``repro.farm.supervise`` directly for the
-engine-level API, or use this module for everything request-shaped.
+:mod:`repro.farm.supervise`; a ``since`` request first serves the jobs
+the edit left clean) and wraps the outcome.  The engine-level API is
+:func:`repro.farm.supervise.run_supervised`.
 """
 
 from __future__ import annotations
@@ -34,6 +30,7 @@ from __future__ import annotations
 import json
 import threading
 from dataclasses import dataclass, fields as dataclass_fields, replace
+from functools import partial
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from .bgp.config import NetworkConfig
@@ -47,8 +44,8 @@ from .explain.symbolize import (
 from .farm import report as farm_report
 from .farm.job import enumerate_jobs
 from .farm.keys import FarmOptions
-from .farm.pool import BatchReport as _FarmBatchReport, run_incremental
-from .farm.supervise import SupervisePolicy, run_supervised
+from .farm.report import BatchReport as _FarmBatchReport
+from .farm.supervise import SupervisePolicy, run_incremental, run_supervised
 from .farm.worker import JobResult
 from .spec.ast import Specification
 
@@ -621,9 +618,10 @@ def explain_batch(
 
     This is the one code path under the CLI's ``explain-all`` and the
     server's ``POST /v1/jobs``: enumerate the jobs, run the supervised
-    farm (or the incremental path for ``since`` requests), wrap the
-    outcome.  ``progress`` is invoked per settled job in the calling
-    thread; ``stop`` drains the batch at the next family boundary.
+    farm (behind the incremental pre-filter for ``since`` requests),
+    wrap the outcome.  ``progress`` is invoked per settled job in the
+    calling thread; ``stop`` drains the batch at the next family
+    boundary.
     ``chaos`` (a :class:`repro.runtime.ChaosPlan`) is an execution-side
     fault-injection knob, deliberately not part of the request schema;
     so is ``fleet`` (a :class:`repro.farm.fleet.WorkerFleet`), the
@@ -642,6 +640,7 @@ def explain_batch(
             wall_s=0.0,
         )
         return BatchReport.from_farm_report(empty)
+    run: Callable[..., _FarmBatchReport] = run_supervised
     if request.since is not None:
         _expect(cache_dir is not None, "incremental requests need a cache_dir")
         from .bgp.confparse import parse_network
@@ -650,23 +649,16 @@ def explain_batch(
             old_config = parse_network(request.since, config.topology)
         except Exception as exc:
             raise ApiError(f"unparsable since config: {exc}")
-        farm = run_incremental(
-            old_config, config, specification, jobs,
-            options=request.options(), cache_dir=cache_dir,
-            workers=request.workers, timeout=request.timeout,
-            budget=request.budget, scenario=request.name,
-            share=request.share,
-        )
-    else:
-        policy = request.policy()
-        if chaos is not None:
-            policy = replace(policy, chaos=chaos)
-        farm = run_supervised(
-            config, specification, jobs,
-            options=request.options(), cache_dir=cache_dir,
-            workers=request.workers, timeout=request.timeout,
-            budget=request.budget, scenario=request.name,
-            policy=policy, share=request.share,
-            progress=progress, stop=stop, fleet=fleet,
-        )
+        run = partial(run_incremental, old_config)
+    policy = request.policy()
+    if chaos is not None:
+        policy = replace(policy, chaos=chaos)
+    farm = run(
+        config, specification, jobs,
+        options=request.options(), cache_dir=cache_dir,
+        workers=request.workers, timeout=request.timeout,
+        budget=request.budget, scenario=request.name,
+        policy=policy, share=request.share,
+        progress=progress, stop=stop, fleet=fleet,
+    )
     return BatchReport.from_farm_report(farm)

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
 from ..bgp.config import NetworkConfig
-from ..bgp.simulation import ConvergenceError, simulate
 from ..bgp.sketch import Hole
+from ..explain.project import _classify_assignment, _hole_env
 from ..explain.seed import SeedSpecification, extract_seed
 from ..explain.subspec import Subspecification
 from ..runtime import Governor, ReproError
@@ -120,41 +120,19 @@ class Oracle:
     ) -> Tuple[bool, Optional[Dict[str, object]]]:
         """(does the network satisfy the requirement?, evaluation env).
 
-        Mirrors the projection stage's classification semantics -- fill,
-        simulate, evaluate the ground requirement -- but against this
-        oracle's own fresh encoding.  Non-converging assignments
-        violate the requirement and carry no environment.
+        The projection stage's own classifier -- fill, simulate,
+        evaluate the ground requirement -- run against this oracle's
+        fresh encoding, never the engine's artifacts.  Non-converging
+        assignments violate the requirement and carry no environment.
         """
         variant = self._variant(case.mutation)
-        assignment = case.assignment(self.holes)
-        filled = variant.sketch.fill(assignment)
-        try:
-            outcome = simulate(
-                filled,
-                link_cost=variant.seed.encoding.link_cost,
-                ibgp=variant.seed.encoding.ibgp,
-                governor=self.governor,
-            )
-        except ConvergenceError:
-            return False, None
-        env = self._hole_env(variant, assignment)
-        for key, variable in variant.seed.encoding.best_vars.items():
-            candidate = _candidate_of(key)
-            selected = outcome.best(candidate.router, candidate.prefix)
-            env[variable.name] = (
-                selected is not None
-                and selected.path == candidate.path.hops
-            )
-        return bool(variant.requirement.evaluate(env)), env
-
-    def _hole_env(
-        self, variant: _Variant, assignment: Mapping[str, object]
-    ) -> Dict[str, object]:
-        env: Dict[str, object] = {}
-        for name, value in assignment.items():
-            variable = variant.seed.encoding.holes.variable(name)
-            env[name] = value if variable.sort.is_int() else str(value)
-        return env
+        return _classify_assignment(
+            variant.requirement,
+            case.assignment(self.holes),
+            variant.sketch,
+            variant.seed,
+            governor=self.governor,
+        )
 
     # ------------------------------------------------------------------
 
@@ -200,7 +178,7 @@ class Oracle:
         case: AuditCase,
         env: Optional[Dict[str, object]] = None,
     ) -> Optional[bool]:
-        hole_env = self._hole_env(variant, case.assignment(self.holes))
+        hole_env = _hole_env(variant.seed, case.assignment(self.holes))
         try:
             return bool(subspec.low_level.evaluate(hole_env))
         except KeyError:
@@ -241,11 +219,3 @@ class Oracle:
         self._statement_terms[cache_key] = term
         return term
 
-
-def _candidate_of(key: str):
-    from ..synthesis.space import Candidate
-    from ..topology.paths import Path
-    from ..topology.prefixes import Prefix
-
-    prefix_text, hops_text = key.split("|", 1)
-    return Candidate(Prefix(prefix_text), Path(tuple(hops_text.split("."))))

@@ -406,9 +406,10 @@ class ExplanationEngine:
             self.obs.count(f"engine.stage_hits.{stage}")
         return payload
 
-    def _save_stage(self, stage: str, payload: dict) -> None:
+    def _save_stage(self, stage: str, to_dict, artifact) -> None:
+        """Store ``to_dict(artifact)``; without a store, build nothing."""
         if self.stage_store is not None:
-            self.stage_store.save(stage, payload)
+            self.stage_store.save(stage, to_dict(artifact))
 
     def _run(
         self,
@@ -498,7 +499,7 @@ class ExplanationEngine:
                     )
                     from .serialize import simplified_to_dict
 
-                    self._save_stage("simplify", simplified_to_dict(simplified))
+                    self._save_stage("simplify", simplified_to_dict, simplified)
                 except GOVERNED_ERRORS as exc:
                     # Fall back to the unsimplified seed constraint; later
                     # stages do not depend on the simplified term.
@@ -534,7 +535,7 @@ class ExplanationEngine:
                     )
                     from .serialize import projected_to_dict
 
-                    self._save_stage("projected", projected_to_dict(projected))
+                    self._save_stage("projected", projected_to_dict, projected)
                 except GOVERNED_ERRORS as exc:
                     degradations.append(f"projection interrupted: {exc}")
         timings["project"] = span.duration
@@ -566,7 +567,7 @@ class ExplanationEngine:
                     else:
                         from .serialize import lift_result_to_dict
 
-                        self._save_stage("lift", lift_result_to_dict(lift_result))
+                        self._save_stage("lift", lift_result_to_dict, lift_result)
         timings["lift"] = span.duration
 
         if lift_result is not None and (lift_result.lifted or not degradations):

@@ -206,6 +206,8 @@ def _classify_assignment(
     """(acceptable?, evaluation env) for one hole assignment.
 
     Non-converging assignments are rejected and yield no environment.
+    This is the one classifier: the audit oracle calls it too, with its
+    own fresh seed encoding.
     """
     filled = sketch.fill(assignment)
     try:
@@ -229,13 +231,10 @@ def _classify_assignment(
             )
     except ConvergenceError:
         return False, None
-    env: Dict[str, object] = {}
-    for name, value in assignment.items():
-        variable = seed.encoding.holes.variable(name)
-        env[name] = value if variable.sort.is_int() else str(value)
+    env = _hole_env(seed, assignment)
     # Valuations of the selection variables come from the simulation.
     for key, variable in seed.encoding.best_vars.items():
-        candidate = _candidate_of(seed, key)
+        candidate = _candidate_of(key)
         selected = outcome.best(candidate.router, candidate.prefix)
         env[variable.name] = (
             selected is not None and selected.path == candidate.path.hops
@@ -243,7 +242,18 @@ def _classify_assignment(
     return bool(requirement.evaluate(env)), env
 
 
-def _candidate_of(seed: SeedSpecification, key: str):
+def _hole_env(
+    seed: SeedSpecification, assignment: Mapping[str, object]
+) -> Dict[str, object]:
+    """The hole variables' valuation under ``assignment``."""
+    env: Dict[str, object] = {}
+    for name, value in assignment.items():
+        variable = seed.encoding.holes.variable(name)
+        env[name] = value if variable.sort.is_int() else str(value)
+    return env
+
+
+def _candidate_of(key: str):
     from ..synthesis.space import Candidate
     from ..topology.paths import Path
     from ..topology.prefixes import Prefix

@@ -21,34 +21,34 @@ build-system shell:
   a stored read-set against an edited configuration decides whether a
   cached answer is still exact, so a one-device edit re-runs only that
   device's jobs;
-* :mod:`repro.farm.worker` / :mod:`repro.farm.pool` -- the per-job
-  runner (governed, gracefully degrading) and the process pool that
-  fans work out and folds per-worker metrics into one report.
-  Dispatch is per :class:`JobFamily` -- the per-line questions of one
-  (device, requirement block) run back to back in one worker against
-  the shared caches of :mod:`repro.explain.family`, including one
-  incremental SAT session per family (solve once per router, assume
-  per hole);
-* :mod:`repro.farm.supervise` -- the fault-tolerant supervisor:
-  per-job hang watchdog, retry with capped backoff + deterministic
-  jitter for transient failures, a quarantine ledger for jobs that
-  exhaust their retries, and a crash-safe run journal that lets a
-  killed batch ``--resume`` with only its unfinished jobs.
+* :mod:`repro.farm.worker` -- the per-job runner (governed,
+  gracefully degrading).  Dispatch is per :class:`JobFamily` -- the
+  per-line questions of one (device, requirement block) run back to
+  back in one worker against the shared caches of
+  :mod:`repro.explain.family`, including one incremental SAT session
+  per family (solve once per router, assume per hole);
+* :mod:`repro.farm.supervise` -- the one route every batch takes: a
+  single dispatch loop over an in-process, process-pool or
+  :mod:`repro.farm.fleet` backend, with a per-job hang watchdog, retry
+  with capped backoff + deterministic jitter for transient failures, a
+  quarantine ledger for jobs that exhaust their retries, and a
+  crash-safe run journal that lets a killed batch ``--resume`` with
+  only its unfinished jobs.  Its ``run_incremental`` (``--since``)
+  pre-filters the jobs an edit left clean and hands the rest to it;
+* :mod:`repro.farm.report` -- the :class:`BatchReport` and the one
+  definition of its table, JSON document and exit code.
 
 The CLI front-end is ``python -m repro.cli explain-all``; see
 ``docs/farm.md`` for the architecture.
 """
 
-import warnings
-from typing import Any
-
 from .fleet import FleetStats, WorkerFleet
 from .invalidate import compute_dirty, readset_valid, sketch_universe
 from .job import ExplainJob, JobFamily, enumerate_jobs, group_families
 from .keys import FarmOptions, canonical_json, digest, job_key
-from .pool import BatchReport
 from .readset import TransferRecorder
 from .report import (
+    BatchReport,
     EXIT_BUDGET,
     EXIT_FAILURE,
     EXIT_OK,
@@ -79,35 +79,6 @@ from .worker import (
     shared_batch_key,
 )
 
-# The batch entrypoints moved behind the typed facade in ``repro.api``
-# (``explain_batch`` and friends); importing them from the farm root is
-# deprecated for one release.  PEP 562 module ``__getattr__`` keeps
-# ``from repro.farm import run_batch`` working -- with a warning --
-# while internal callers import from ``.pool`` / ``.supervise``
-# directly and stay silent.
-_DEPRECATED_ENTRYPOINTS = {
-    "run_batch": ("pool", "repro.api.explain_batch"),
-    "run_incremental": ("pool", "repro.api.explain_batch (with since=...)"),
-    "run_supervised": ("supervise", "repro.api.explain_batch"),
-}
-
-
-def __getattr__(name: str) -> Any:
-    moved = _DEPRECATED_ENTRYPOINTS.get(name)
-    if moved is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    submodule, replacement = moved
-    warnings.warn(
-        f"importing {name!r} from repro.farm is deprecated; "
-        f"use {replacement} or repro.farm.{submodule}.{name}",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    import importlib
-
-    return getattr(importlib.import_module(f".{submodule}", __name__), name)
-
-
 __all__ = [
     "ExplainJob",
     "JobFamily",
@@ -132,13 +103,10 @@ __all__ = [
     "run_job",
     "shared_batch_key",
     "BatchReport",
-    "run_batch",
-    "run_incremental",
     "RunJournal",
     "SupervisePolicy",
     "Supervisor",
     "batch_signature",
-    "run_supervised",
     "REPORT_SCHEMA",
     "STATUS_EXACT",
     "STATUS_DEGRADED_LIFT",

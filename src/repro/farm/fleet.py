@@ -1,11 +1,11 @@
 """The persistent worker fleet: processes that outlive their batches.
 
-:mod:`repro.farm.pool` and the :class:`~repro.farm.supervise.Supervisor`
-historically built a fresh :class:`~concurrent.futures.ProcessPoolExecutor`
-per batch, so every batch paid process spawn *and* started with cold
-in-worker caches (the :class:`~repro.explain.family.SharedCaches` slot,
-the resident :class:`~repro.farm.store.ArtifactStore` handle, the warm
-incremental SAT sessions).  A :class:`WorkerFleet` keeps one set of
+The :class:`~repro.farm.supervise.Supervisor`'s pool backend builds a
+fresh process pool per batch, so every such batch pays process spawn
+*and* starts with cold in-worker caches (the
+:class:`~repro.explain.family.SharedCaches` slot, the resident
+:class:`~repro.farm.store.ArtifactStore` handle, the warm incremental
+SAT sessions).  A :class:`WorkerFleet` keeps one set of
 worker processes alive for the lifetime of the owning process -- the
 serving layer spins one up at boot -- and batches borrow workers from
 it instead of forking their own.
@@ -29,9 +29,9 @@ Design points:
   abort) fails *only its own claimed task* -- its future raises
   :class:`~repro.runtime.WorkerCrash` -- and is replaced by a fresh
   process immediately.  Other workers, and therefore other batches
-  multiplexed onto the fleet, keep running.  (Contrast
-  ``ProcessPoolExecutor``, where one dead child breaks the whole pool
-  and every in-flight future.)  Results travel over one single-writer
+  multiplexed onto the fleet, keep running.  (Contrast the
+  supervisor's process pool, where one dead child breaks the whole
+  pool and every in-flight future.)  Results travel over one single-writer
   pipe per worker -- never a queue shared between workers -- so a
   worker dying mid-send cannot poison a cross-process lock that other
   workers' result sends depend on.

@@ -11,21 +11,28 @@ hand-rolled its own status strings and dict plumbing; now everything
 human summary table -- is defined here once and imported everywhere
 else.
 
-The functions are deliberately duck-typed over
-:class:`repro.farm.pool.BatchReport` and
-:class:`repro.farm.worker.JobResult` (this module sits *below* both in
-the import graph), and the document/table output is regression-tested
-byte-for-byte against goldens captured before the extraction
-(``tests/farm/test_report.py``): moving the code must not move the
-bytes.
+:class:`BatchReport`, the outcome of one batch, lives here too.  The
+functions are duck-typed over it and over
+:class:`repro.farm.worker.JobResult` (this module sits *below* the
+worker in the import graph), and the document/table output is
+regression-tested byte-for-byte against goldens captured before the
+extraction (``tests/farm/test_report.py``): moving the code must not
+move the bytes.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
+
+from ..obs import BenchReport, MetricsRegistry, SPAN_PREFIX, StageRecord, percentile
+
+if TYPE_CHECKING:
+    from .worker import JobResult
 
 __all__ = [
+    "BatchReport",
     "REPORT_SCHEMA",
     "STATUS_EXACT",
     "STATUS_DEGRADED_LIFT",
@@ -184,8 +191,8 @@ def audit_totals(rows: List[Dict[str, object]]) -> Optional[Dict[str, object]]:
 def report_document(report: Any) -> Dict[str, object]:
     """The schema-versioned ``--json`` report document.
 
-    Accepts a :class:`repro.farm.pool.BatchReport`; this is the one
-    place its JSON shape is defined.
+    Accepts a :class:`BatchReport`; this is the one place its JSON
+    shape is defined.
     """
     farm_counters = {
         name: value
@@ -380,3 +387,136 @@ def normalize_document(document: Dict[str, object]) -> Dict[str, object]:
         bench["stages"] = stages
         normalized["bench"] = bench
     return normalized
+
+
+# ---------------------------------------------------------------------------
+# The batch report
+
+
+@dataclass
+class BatchReport:
+    """Everything one ``explain-all`` invocation produced."""
+
+    scenario: str
+    results: List["JobResult"]
+    workers: int
+    wall_s: float
+    metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
+
+    # -- aggregate views -----------------------------------------------
+
+    @property
+    def completed(self) -> int:
+        return sum(1 for r in self.results if r.ok)
+
+    @property
+    def degraded(self) -> int:
+        return sum(1 for r in self.results if r.degraded)
+
+    @property
+    def failed(self) -> int:
+        return sum(1 for r in self.results if r.status == STATUS_ERROR)
+
+    @property
+    def quarantined(self) -> int:
+        return sum(1 for r in self.results if r.quarantined)
+
+    @property
+    def retried(self) -> int:
+        """Jobs that needed more than one attempt."""
+        return sum(1 for r in self.results if r.attempts > 1)
+
+    @property
+    def cached(self) -> int:
+        return sum(1 for r in self.results if r.cached)
+
+    @property
+    def audited(self) -> int:
+        """Jobs whose answer went through the adversarial audit."""
+        return sum(1 for r in self.results if r.audit is not None)
+
+    @property
+    def audit_refuted(self) -> int:
+        """Audited jobs whose final verdict refutes the subspec (a
+        repaired re-lift does not count: the record keeps the refuting
+        label, but the served answer was proven good)."""
+        return sum(
+            1
+            for r in self.results
+            if r.audit is not None
+            and r.audit.get("verdict") in ("too-weak", "too-strong")
+            and not r.audit.get("repaired")
+        )
+
+    @property
+    def audit_repaired(self) -> int:
+        return sum(
+            1
+            for r in self.results
+            if r.audit is not None and r.audit.get("repaired")
+        )
+
+    @property
+    def cpu_s(self) -> float:
+        """Summed per-job runtime (compare against ``wall_s`` for the
+        parallel speedup actually realized)."""
+        return sum(r.duration_s for r in self.results)
+
+    def stage_cache_rate(self) -> Optional[float]:
+        """Fraction of per-stage store probes that hit, or ``None``
+        when the batch ran without a store."""
+        hits = sum(
+            value
+            for name, value in self.metrics.counters.items()
+            if name.startswith("farm.store.hit.")
+        )
+        misses = sum(
+            value
+            for name, value in self.metrics.counters.items()
+            if name.startswith("farm.store.miss.")
+        )
+        if hits + misses == 0:
+            return None
+        return hits / (hits + misses)
+
+    # -- rendering ------------------------------------------------------
+
+    def summary_table(self) -> str:
+        """The human-readable per-job table plus batch totals."""
+        return summary_table(self)
+
+    def stage_records(self) -> List[StageRecord]:
+        """Per-stage records in the benchmark harness's shape."""
+        records: List[StageRecord] = []
+        for name in self.metrics.histogram_names:
+            if not name.startswith(SPAN_PREFIX):
+                continue
+            stage = name[len(SPAN_PREFIX):]
+            samples = self.metrics.samples(name)
+            counters = {
+                counter[len(stage) + 1:]: value
+                for counter, value in self.metrics.counters.items()
+                if counter.startswith(stage + ":")
+            }
+            records.append(
+                StageRecord(
+                    scenario=self.scenario,
+                    stage=stage,
+                    runs=len(samples),
+                    median_s=percentile(samples, 0.50),
+                    p95_s=percentile(samples, 0.95),
+                    total_s=sum(samples),
+                    counters=counters,
+                )
+            )
+        records.sort(key=lambda record: record.stage)
+        return records
+
+    def to_bench_report(self) -> BenchReport:
+        return BenchReport(
+            stages=self.stage_records(), source="repro.farm", repeat=1
+        )
+
+    def to_dict(self) -> Dict[str, object]:
+        """The ``--json`` report document."""
+        return report_document(self)

@@ -1,10 +1,13 @@
-"""The fault-tolerant batch supervisor: treat worker death as routine.
+"""The batch supervisor: the one route every batch runs through.
 
-:func:`repro.farm.pool.run_batch` is the minimal path -- one shot per
-job, no babysitting.  This module wraps the same workers in a
-:class:`Supervisor` whose contract is the ROADMAP's serving-layer
-prerequisite: *a batch completes, and reports every job exactly once,
-no matter what the processes under it do.*  The per-job state machine::
+A :class:`Supervisor` runs a batch under one contract: *a batch
+completes, and reports every job exactly once, no
+matter what the processes under it do.*  One dispatch loop drives
+every executor through a small backend that owns only what differs
+between them: in this thread (``-j 1``), a per-batch process pool
+(``-j N``) or a long-lived :class:`~repro.farm.fleet.WorkerFleet`.
+:func:`run_incremental` (``--since``) is a pre-filter in front of the
+same loop.  The per-job state machine::
 
       dispatch ──────────► running ──────────► settled (EXACT / CACHED /
          ▲                   │                          DEGRADED / FAILED
@@ -16,12 +19,13 @@ no matter what the processes under it do.*  The per-job state machine::
          └──────────────── retry? ── attempts exhausted ──► QUARANTINED
                                                             (ledger entry)
 
-* **Watchdog** -- jobs are dispatched with ``as_completed`` semantics
+* **Watchdog** -- jobs are dispatched with ``FIRST_COMPLETED`` waits
   and a per-job wall clock.  An attempt running past ``hang_timeout``
-  is declared hung: its worker pool is abandoned (processes
-  terminated), innocent in-flight siblings are re-dispatched to a
-  fresh pool *without* consuming one of their attempts, and the hung
-  job's attempt counts as a transient failure.
+  is declared hung and counts as a transient failure.  On a process
+  pool the pool is abandoned (processes terminated) and innocent
+  in-flight siblings are re-dispatched to a fresh pool *without*
+  consuming one of their attempts; on a fleet only the hung worker is
+  killed.  In-process (``-j 1``) runs have no watchdog.
 * **Retry** -- transient failures (worker killed, broken pool,
   injected chaos faults, I/O hiccups; see
   :func:`repro.runtime.error_kind`) are retried with capped
@@ -63,20 +67,23 @@ from typing import Callable, Deque, Dict, List, Optional
 
 from ..bgp.config import NetworkConfig
 from ..bgp.render import render_network
-from ..obs import MetricsRegistry
+from ..explain.serialize import subspec_from_dict
+from ..obs import Instrumentation, MetricsRegistry
 from ..runtime import ChaosPlan, ReproError, TRANSIENT, split_budget
 from ..spec.ast import Specification
 from ..spec.printer import format_specification
 from .fleet import WorkerFleet
-from .job import ExplainJob, group_families
+from .invalidate import compute_dirty
+from .job import ExplainJob, JobFamily, group_families
 from .keys import FarmOptions, canonical_json, digest
-from .pool import BatchReport, _merge_metrics
 from .store import ArtifactStore
-from .report import OK_STATUSES
+from .report import BatchReport, OK_STATUSES
 from .worker import (
     JobResult,
+    STATUS_CACHED,
     STATUS_ERROR,
     STATUS_QUARANTINED,
+    run_audit,
     run_family,
     shared_batch_key,
 )
@@ -88,6 +95,7 @@ __all__ = [
     "Supervisor",
     "backoff_delay",
     "batch_signature",
+    "run_incremental",
     "run_supervised",
 ]
 
@@ -420,7 +428,7 @@ class _Attempt:
     #: Monotonic time before which the attempt must not be dispatched
     #: (backoff); 0.0 dispatches immediately.
     ready_at: float = 0.0
-    #: Monotonic dispatch time of the running attempt (watchdog clock).
+    #: Monotonic dispatch time of the running attempt.
     started: float = field(default=0.0, compare=False)
 
 
@@ -429,6 +437,152 @@ class _Attempt:
 #: families; every retry is a singleton unit (a failed member must not
 #: drag its innocent siblings through another attempt).
 _Unit = List[_Attempt]
+
+
+def _member_indices(
+    jobs: List[ExplainJob], families: List[JobFamily]
+) -> Dict[int, List[int]]:
+    """family.index -> each member's position in the original batch."""
+    positions: Dict[ExplainJob, List[int]] = {}
+    for index, job in enumerate(jobs):
+        positions.setdefault(job, []).append(index)
+    return {
+        family.index: [positions[job].pop(0) for job in family.jobs]
+        for family in families
+    }
+
+
+# ---------------------------------------------------------------------------
+# Backends: what differs between the executors a unit can run on
+
+
+class _Inline:
+    """``-j 1`` without a fleet: each unit runs in this thread on submit.
+
+    It is also the base the other backends override.  Without a
+    process boundary a hang cannot be interrupted, so there
+    is no watchdog (the CLI documents that it needs ``-j 2`` or more),
+    and an exception escaping :func:`run_family` propagates out of the
+    batch.
+    """
+
+    #: Units in flight at once; ``None`` queues every ready unit.
+    capacity: Optional[int] = 1
+
+    def submit(self, args: tuple) -> Future:
+        future: Future = Future()
+        future.set_result(run_family(*args))
+        return future
+
+    def clock(self, future: Future, dispatched: float) -> Optional[float]:
+        """When the unit's hang clock started; ``None`` while it has not
+        (or never will)."""
+        return None
+
+    def lose(self, future: Future, hung: bool) -> bool:
+        """Give up on a crashed or hung unit; ``True`` when every other
+        in-flight unit was lost with it."""
+        return False
+
+    def restart(self) -> None:
+        """Replace an executor :meth:`lose` declared broken."""
+
+    def close(self, aborted: bool) -> None:
+        """Release the executor; ``aborted`` means units are still in
+        flight and must not be waited on."""
+
+
+class _Pool(_Inline):
+    """``-j N`` without a fleet: a per-batch :class:`ProcessPoolExecutor`.
+
+    At most ``workers`` units are in flight, and the hang clock starts
+    at dispatch.  One dead child breaks the whole executor, and only
+    terminating its processes reclaims a hung one, so a crash or hang
+    abandons the pool: a fresh one replaces it and the innocent
+    in-flight units are re-queued without spending an attempt.
+    """
+
+    def __init__(self, workers: int) -> None:
+        self.capacity = workers
+        self._pool = ProcessPoolExecutor(max_workers=workers)
+
+    def submit(self, args: tuple) -> Future:
+        return self._pool.submit(run_family, *args)
+
+    def clock(self, future: Future, dispatched: float) -> Optional[float]:
+        return dispatched
+
+    def lose(self, future: Future, hung: bool) -> bool:
+        return True
+
+    def restart(self) -> None:
+        self._abandon()
+        self._pool = ProcessPoolExecutor(max_workers=self.capacity)
+
+    def close(self, aborted: bool) -> None:
+        if aborted:
+            self._abandon()
+        else:
+            self._pool.shutdown(wait=True)
+
+    def _abandon(self) -> None:
+        """Tear the pool down without waiting on it.
+
+        ``_processes`` is private executor state, but terminating the
+        children is the only way to reclaim a worker stuck in a
+        non-cooperative hang; the executor object itself is abandoned
+        either way, so a future stdlib rearrangement degrades this to
+        "leak one hung process", never to wrong results.
+        """
+        pool = self._pool
+        for process in list((getattr(pool, "_processes", None) or {}).values()):
+            try:
+                process.terminate()
+            except Exception:
+                pass
+        try:
+            pool.shutdown(wait=False, cancel_futures=True)
+        except Exception:
+            pass
+
+
+class _Fleet(_Inline):
+    """A long-lived :class:`WorkerFleet` shared with other batches.
+
+    Every ready unit is queued fleet-side at once on the batch's
+    stream, so an idle worker claims the next family without waiting
+    for the dispatch loop; the stream's claim cap (the request's
+    ``workers``) keeps the batch from monopolizing the fleet.  The hang
+    clock starts when a worker *claims* the unit, so queue wait on a
+    contended fleet never counts against the allowance.  A crash costs
+    only the unit its worker held (the fleet replaces the process), and
+    a hang kills just the offending worker.  The fleet outlives the
+    batch: an aborted batch simply disowns its futures.
+    """
+
+    capacity = None
+
+    def __init__(self, fleet: WorkerFleet, stream: str, cap: int) -> None:
+        self.fleet = fleet
+        self.stream = stream
+        self.cap = cap
+
+    def submit(self, args: tuple) -> Future:
+        return self.fleet.submit(
+            run_family, *args, stream=self.stream, stream_cap=self.cap
+        )
+
+    def clock(self, future: Future, dispatched: float) -> Optional[float]:
+        return self.fleet.started_at(future)
+
+    def lose(self, future: Future, hung: bool) -> bool:
+        if hung:
+            self.fleet.kill_task(future)
+        return False
+
+
+# ---------------------------------------------------------------------------
+# The supervisor
 
 
 class Supervisor:
@@ -470,10 +624,8 @@ class Supervisor:
         self.progress = progress
         self.stop = stop
         #: A long-lived :class:`WorkerFleet` to borrow workers from
-        #: instead of building a per-batch pool.  All ready units are
-        #: queued fleet-side at once on this batch's stream; ``workers``
-        #: caps the stream's simultaneous worker claims, so one request
-        #: cannot monopolize a fleet shared with other batches.
+        #: instead of building a per-batch pool; ``workers`` caps the
+        #: batch's simultaneous claims on it.
         self.fleet = fleet
         self._stream = f"batch-{next(_STREAM_SERIAL)}"
         #: Identity of the batch's worker-side shared caches; ``None``
@@ -508,7 +660,7 @@ class Supervisor:
         )
         results: Dict[int, JobResult] = {}
         journal: Optional[RunJournal] = None
-        if self.cache_dir is not None:
+        if self.cache_dir is not None and self.jobs:
             signature = batch_signature(
                 self.config, self.specification, self.jobs, self.options,
                 timeout=self.timeout, budget=self.budget,
@@ -522,14 +674,8 @@ class Supervisor:
                         results[index] = done
                         self.metrics.count("farm.supervise.resumed")
             journal.start(fresh=not results)
-        pending = self._units(results)
         try:
-            if self.fleet is not None:
-                self._run_fleet(pending, shares, results, journal, store)
-            elif self.workers <= 1:
-                self._run_serial(pending, shares, results, journal, store)
-            else:
-                self._run_pool(pending, shares, results, journal, store)
+            self._dispatch(self._units(results), shares, results, journal, store)
         finally:
             if journal is not None:
                 journal.close()
@@ -539,17 +685,17 @@ class Supervisor:
             workers=self.workers,
             wall_s=time.perf_counter() - started,
         )
-        _merge_metrics(report)
+        for result in report.results:
+            report.metrics.merge(result.metrics)
         report.metrics.merge(self.metrics)
         return report
 
-    # -- shared settle/fail machinery -----------------------------------
+    # -- the dispatch loop ----------------------------------------------
 
     def _units(self, results: Dict[int, JobResult]) -> List[_Unit]:
         """Group unsettled jobs into first-dispatch units.
 
-        Family grouping mirrors :func:`repro.farm.pool.run_batch`:
-        whole families with ``share``, singletons without.  Jobs
+        Whole families with ``share``, singletons without.  Jobs
         already settled (journal replay) are dropped from their unit --
         a resumed family re-dispatches only its unfinished members.
         """
@@ -560,8 +706,6 @@ class Supervisor:
         }
         if not self.share:
             return [[attempts[index]] for index in sorted(attempts)]
-        from .pool import _member_indices
-
         families = group_families(self.jobs)
         members = _member_indices(self.jobs, families)
         units: List[_Unit] = []
@@ -575,8 +719,132 @@ class Supervisor:
                 units.append(unit)
         return units
 
-    def _share(self, shares, index: int) -> Optional[int]:
-        return shares[index] if shares is not None else None
+    def _backend(self) -> _Inline:
+        if self.fleet is not None:
+            return _Fleet(self.fleet, self._stream, self.workers)
+        if self.workers > 1:
+            return _Pool(self.workers)
+        return _Inline()
+
+    def _args(self, unit: _Unit, shares) -> tuple:
+        """The :func:`run_family` arguments for one unit."""
+        return (
+            self.config, self.specification,
+            [att.job for att in unit], self.options, self.cache_dir,
+            self.timeout,
+            [shares[att.index] if shares is not None else None for att in unit],
+            [att.attempt for att in unit],
+            self.policy.chaos, self._shared_key,
+        )
+
+    def _dispatch(self, pending, shares, results, journal, store) -> None:
+        """Run every unit to a settled result, a retry or quarantine.
+
+        One loop for every backend: wait out backoffs, queue due
+        retries, drain on ``stop``, dispatch up to the backend's
+        capacity, wait for the first result, settle or fail, and fail
+        attempts running past ``hang_timeout`` (a unit runs its members
+        back to back, so its allowance scales with its size).
+        """
+        if not pending:
+            return
+        backend = self._backend()
+        waiting: Deque[_Unit] = deque(pending)
+        backoff: List[_Attempt] = []
+        inflight: Dict[Future, _Unit] = {}
+
+        def fail(unit: _Unit, error_text: str, now: float) -> None:
+            for att in unit:
+                self._fail(
+                    att, error_text, now, backoff.append, results, journal,
+                    store,
+                )
+
+        try:
+            while waiting or backoff or inflight:
+                if self._stopping() and (waiting or backoff):
+                    # Drain: in-flight units run to completion (and are
+                    # journaled below); everything not yet dispatched --
+                    # pending retries included -- is left unsettled for
+                    # a later --resume.
+                    self._count_drained(
+                        sum(len(unit) for unit in waiting) + len(backoff)
+                    )
+                    waiting.clear()
+                    backoff = []
+                    if not inflight:
+                        break
+                now = time.monotonic()
+                due = [att for att in backoff if att.ready_at <= now]
+                if due:
+                    backoff = [a for a in backoff if a.ready_at > now]
+                    waiting.extend(
+                        [att] for att in sorted(due, key=lambda a: a.index)
+                    )
+                while waiting and (
+                    backend.capacity is None or len(inflight) < backend.capacity
+                ):
+                    unit = waiting.popleft()
+                    dispatched = time.monotonic()
+                    for att in unit:
+                        att.started = dispatched
+                    inflight[backend.submit(self._args(unit, shares))] = unit
+                if not inflight:
+                    next_ready = min(att.ready_at for att in backoff)
+                    time.sleep(max(0.0, min(next_ready - now, _TICK_S)))
+                    continue
+                done, _ = wait(
+                    set(inflight), timeout=_TICK_S,
+                    return_when=FIRST_COMPLETED,
+                )
+                now = time.monotonic()
+                lost = False
+                for future in done:
+                    unit = inflight.pop(future)
+                    error = future.exception()
+                    if error is None:
+                        for att, result in zip(unit, future.result()):
+                            self._settle(
+                                att, result, now, backoff.append,
+                                results, journal, store,
+                            )
+                    else:
+                        # The worker died under the unit: transient for
+                        # every member -- a family shares its process.
+                        self.metrics.count("farm.supervise.crash")
+                        lost = backend.lose(future, hung=False) or lost
+                        fail(unit, f"{type(error).__name__}: {error}", now)
+                if self.policy.hang_timeout is not None:
+                    for future, unit in list(inflight.items()):
+                        clock = backend.clock(future, unit[0].started)
+                        if (
+                            clock is None
+                            or now - clock <= self.policy.hang_timeout * len(unit)
+                        ):
+                            continue
+                        del inflight[future]
+                        self.metrics.count("farm.supervise.hang")
+                        lost = backend.lose(future, hung=True) or lost
+                        fail(
+                            unit,
+                            f"WorkerHang: no result within "
+                            f"{self.policy.hang_timeout}s (watchdog)",
+                            now,
+                        )
+                if lost:
+                    # Innocent in-flight units go back to the queue at
+                    # their *current* attempt numbers: a neighbor's
+                    # death must not burn their retries.
+                    waiting.extend(inflight.values())
+                    inflight.clear()
+                    backend.restart()
+                    self.metrics.count("farm.supervise.pool_rebuild")
+        finally:
+            # Aborted mid-flight (e.g. quarantine limit): never wait on
+            # workers that may be hung or dying.
+            backend.close(aborted=bool(inflight))
+
+    # -- settle/fail ----------------------------------------------------
 
     def _settle(
         self,
@@ -664,303 +932,6 @@ class Supervisor:
         if drained:
             self.metrics.count("farm.supervise.drained", drained)
 
-    # -- serial mode ----------------------------------------------------
-
-    def _run_serial(self, pending, shares, results, journal, store) -> None:
-        """In-process loop: retries and quarantine, no watchdog.
-
-        Without a process boundary a hang cannot be interrupted, so
-        ``hang_timeout`` is inert here -- the CLI documents that the
-        watchdog needs ``-j 2`` or more.
-        """
-        queue: Deque[_Unit] = deque(pending)
-
-        def requeue(att: _Attempt) -> None:
-            queue.append([att])
-
-        while queue:
-            if self._stopping():
-                self._count_drained(sum(len(unit) for unit in queue))
-                return
-            unit = queue.popleft()
-            now = time.monotonic()
-            ready = max(att.ready_at for att in unit)
-            if ready > now:
-                time.sleep(ready - now)
-            outcomes = run_family(
-                self.config, self.specification,
-                [att.job for att in unit], self.options, self.cache_dir,
-                self.timeout,
-                [self._share(shares, att.index) for att in unit],
-                [att.attempt for att in unit],
-                self.policy.chaos, self._shared_key,
-            )
-            now = time.monotonic()
-            for att, result in zip(unit, outcomes):
-                self._settle(
-                    att, result, now, requeue, results, journal, store
-                )
-
-    # -- pool mode ------------------------------------------------------
-
-    def _new_pool(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(max_workers=self.workers)
-
-    def _abandon_pool(self, pool: ProcessPoolExecutor) -> None:
-        """Tear a (broken or hung) pool down without waiting on it.
-
-        ``_processes`` is private executor state, but terminating the
-        children is the only way to reclaim a worker stuck in a
-        non-cooperative hang; the executor object itself is abandoned
-        either way, so a future stdlib rearrangement degrades this to
-        "leak one hung process", never to wrong results.
-        """
-        for process in list((getattr(pool, "_processes", None) or {}).values()):
-            try:
-                process.terminate()
-            except Exception:
-                pass
-        try:
-            pool.shutdown(wait=False, cancel_futures=True)
-        except Exception:
-            pass
-
-    def _dispatch(
-        self, pool: ProcessPoolExecutor, unit: _Unit, shares
-    ) -> Future:
-        started = time.monotonic()
-        for att in unit:
-            att.started = started
-        return pool.submit(
-            run_family, self.config, self.specification,
-            [att.job for att in unit], self.options, self.cache_dir,
-            self.timeout,
-            [self._share(shares, att.index) for att in unit],
-            [att.attempt for att in unit],
-            self.policy.chaos, self._shared_key,
-        )
-
-    def _run_pool(self, pending, shares, results, journal, store) -> None:
-        waiting: Deque[_Unit] = deque(pending)
-        backoff: List[_Attempt] = []
-        inflight: Dict[Future, _Unit] = {}
-        pool = self._new_pool()
-        try:
-            while waiting or backoff or inflight:
-                if self._stopping() and (waiting or backoff):
-                    # Drain: in-flight families run to completion (and
-                    # are journaled below); everything not yet
-                    # dispatched -- including pending retries -- is
-                    # left unsettled for a later --resume.
-                    self._count_drained(
-                        sum(len(unit) for unit in waiting) + len(backoff)
-                    )
-                    waiting.clear()
-                    backoff = []
-                    if not inflight:
-                        break
-                now = time.monotonic()
-                due = [att for att in backoff if att.ready_at <= now]
-                if due:
-                    backoff = [a for a in backoff if a.ready_at > now]
-                    waiting.extend(
-                        [att] for att in sorted(due, key=lambda a: a.index)
-                    )
-                while waiting and len(inflight) < self.workers:
-                    unit = waiting.popleft()
-                    inflight[self._dispatch(pool, unit, shares)] = unit
-                if not inflight:
-                    next_ready = min(att.ready_at for att in backoff)
-                    time.sleep(max(0.0, min(next_ready - now, _TICK_S)))
-                    continue
-                done, _ = wait(
-                    set(inflight), timeout=_TICK_S,
-                    return_when=FIRST_COMPLETED,
-                )
-                now = time.monotonic()
-                rebuild = False
-                for future in done:
-                    unit = inflight.pop(future)
-                    error = future.exception()
-                    if error is None:
-                        for att, result in zip(unit, future.result()):
-                            self._settle(
-                                att, result, now, backoff.append,
-                                results, journal, store,
-                            )
-                    else:
-                        # The worker (or the whole pool) died under the
-                        # unit: transient by definition, for every
-                        # member -- a family shares its process.
-                        rebuild = True
-                        self.metrics.count("farm.supervise.crash")
-                        for att in unit:
-                            self._fail(
-                                att,
-                                f"{type(error).__name__}: {error}",
-                                now, backoff.append, results, journal,
-                                store,
-                            )
-                if self.policy.hang_timeout is not None:
-                    # A unit runs its members back to back, so its hang
-                    # allowance scales with its size.
-                    hung = [
-                        future
-                        for future, unit in inflight.items()
-                        if now - unit[0].started
-                        > self.policy.hang_timeout * len(unit)
-                    ]
-                    for future in hung:
-                        unit = inflight.pop(future)
-                        rebuild = True
-                        self.metrics.count("farm.supervise.hang")
-                        for att in unit:
-                            self._fail(
-                                att,
-                                f"WorkerHang: no result within "
-                                f"{self.policy.hang_timeout}s (watchdog)",
-                                now, backoff.append, results, journal,
-                                store,
-                            )
-                if rebuild:
-                    # Innocent in-flight units go back to the front of
-                    # the queue at their *current* attempt numbers: a
-                    # neighbor's death must not burn their retries.
-                    for unit in inflight.values():
-                        waiting.append(unit)
-                    inflight.clear()
-                    self._abandon_pool(pool)
-                    pool = self._new_pool()
-                    self.metrics.count("farm.supervise.pool_rebuild")
-        finally:
-            if inflight:
-                # Aborted mid-flight (e.g. quarantine limit): do not
-                # wait on workers that may be hung or dying.
-                self._abandon_pool(pool)
-            else:
-                pool.shutdown(wait=True)
-
-    # -- fleet mode -----------------------------------------------------
-
-    def _dispatch_fleet(self, unit: _Unit, shares) -> Future:
-        started = time.monotonic()
-        for att in unit:
-            att.started = started
-        assert self.fleet is not None
-        return self.fleet.submit(
-            run_family, self.config, self.specification,
-            [att.job for att in unit], self.options, self.cache_dir,
-            self.timeout,
-            [self._share(shares, att.index) for att in unit],
-            [att.attempt for att in unit],
-            self.policy.chaos, self._shared_key,
-            stream=self._stream, stream_cap=max(1, self.workers),
-        )
-
-    def _run_fleet(self, pending, shares, results, journal, store) -> None:
-        """Dispatch onto the shared :class:`WorkerFleet`.
-
-        Same retry/quarantine/watchdog/journal semantics as
-        :meth:`_run_pool`, with three structural differences:
-
-        * A worker crash fails only the unit that worker held -- the
-          fleet replaces the process itself, and other units (this
-          batch's or another's) keep their workers.  No pool rebuild,
-          no innocent re-dispatch.
-        * Dispatch is *deep*: every ready unit is queued fleet-side at
-          once on this batch's stream, so an idle worker claims the
-          next family immediately instead of waiting for this loop to
-          settle and re-dispatch.  The stream's claim cap (the
-          request's ``workers``) keeps the batch from monopolizing the
-          shared fleet.
-        * The hang watchdog terminates just the offending worker
-          (:meth:`WorkerFleet.kill_task`) instead of abandoning a
-          pool.  The hang clock starts when a worker *claims* the
-          unit, so fleet queue wait on a contended fleet never counts
-          against the allowance.
-        """
-        assert self.fleet is not None
-        waiting: Deque[_Unit] = deque(pending)
-        backoff: List[_Attempt] = []
-        inflight: Dict[Future, _Unit] = {}
-        try:
-            while waiting or backoff or inflight:
-                if self._stopping() and (waiting or backoff):
-                    self._count_drained(
-                        sum(len(unit) for unit in waiting) + len(backoff)
-                    )
-                    waiting.clear()
-                    backoff = []
-                    if not inflight:
-                        break
-                now = time.monotonic()
-                due = [att for att in backoff if att.ready_at <= now]
-                if due:
-                    backoff = [a for a in backoff if a.ready_at > now]
-                    waiting.extend(
-                        [att] for att in sorted(due, key=lambda a: a.index)
-                    )
-                while waiting:
-                    unit = waiting.popleft()
-                    inflight[self._dispatch_fleet(unit, shares)] = unit
-                if not inflight:
-                    next_ready = min(att.ready_at for att in backoff)
-                    time.sleep(max(0.0, min(next_ready - now, _TICK_S)))
-                    continue
-                done, _ = wait(
-                    set(inflight), timeout=_TICK_S,
-                    return_when=FIRST_COMPLETED,
-                )
-                now = time.monotonic()
-                for future in done:
-                    unit = inflight.pop(future)
-                    error = future.exception()
-                    if error is None:
-                        for att, result in zip(unit, future.result()):
-                            self._settle(
-                                att, result, now, backoff.append,
-                                results, journal, store,
-                            )
-                    else:
-                        # The fleet worker died under the unit (and has
-                        # already been replaced): transient for every
-                        # member -- a family shares its process.
-                        self.metrics.count("farm.supervise.crash")
-                        for att in unit:
-                            self._fail(
-                                att,
-                                f"{type(error).__name__}: {error}",
-                                now, backoff.append, results, journal,
-                                store,
-                            )
-                if self.policy.hang_timeout is not None:
-                    hung = []
-                    for future, unit in inflight.items():
-                        claimed = self.fleet.started_at(future)
-                        if (
-                            claimed is not None
-                            and now - claimed
-                            > self.policy.hang_timeout * len(unit)
-                        ):
-                            hung.append(future)
-                    for future in hung:
-                        unit = inflight.pop(future)
-                        self.metrics.count("farm.supervise.hang")
-                        self.fleet.kill_task(future)
-                        for att in unit:
-                            self._fail(
-                                att,
-                                f"WorkerHang: no result within "
-                                f"{self.policy.hang_timeout}s (watchdog)",
-                                now, backoff.append, results, journal,
-                                store,
-                            )
-        finally:
-            # Aborted mid-flight (e.g. quarantine limit): the fleet
-            # outlives this batch, so just disown our futures -- late
-            # results resolve into futures nobody reads.
-            inflight.clear()
-
 
 def run_supervised(
     config: NetworkConfig,
@@ -984,3 +955,90 @@ def run_supervised(
         timeout, budget, scenario, policy, share=share,
         progress=progress, stop=stop, fleet=fleet,
     ).run()
+
+
+def run_incremental(
+    old_config: NetworkConfig,
+    new_config: NetworkConfig,
+    specification: Specification,
+    jobs: List[ExplainJob],
+    options: Optional[FarmOptions] = None,
+    cache_dir: Optional[str] = None,
+    workers: int = 1,
+    timeout: Optional[float] = None,
+    budget: Optional[int] = None,
+    scenario: str = "batch",
+    policy: Optional[SupervisePolicy] = None,
+    share: bool = True,
+    progress: Optional[Callable[[JobResult], None]] = None,
+    stop: Optional[threading.Event] = None,
+    fleet: Optional[WorkerFleet] = None,
+) -> BatchReport:
+    """:func:`run_supervised` over only the jobs an edit dirtied.
+
+    A pre-filter: jobs whose key is unchanged *and* whose stored
+    read-set replays cleanly against ``new_config`` are served from the
+    store in this thread (reported through ``progress`` like any
+    settled job); the rest run under supervision with the same policy,
+    fleet and drain.  Requires a cache directory (without one there is
+    nothing to be incremental against).
+    """
+    if cache_dir is None:
+        raise ValueError("incremental runs need a cache directory")
+    if options is None:
+        options = FarmOptions()
+    started = time.perf_counter()
+    store = ArtifactStore(cache_dir)
+    dirty, clean = compute_dirty(
+        old_config, new_config, specification, jobs, options, store
+    )
+    served: Dict[ExplainJob, JobResult] = {}
+    drained = 0
+    for job, key in clean.items():
+        if stop is not None and stop.is_set():
+            drained += 1
+            continue
+        payload = store.load(key, "explanation")
+        assert payload is not None  # compute_dirty checked it exists
+        obs = Instrumentation()
+        obs.metrics.count("farm.cache.full_hit")
+        obs.metrics.count(f"farm.jobs.{STATUS_CACHED}")
+        # Clean jobs still answer for their subspec: the audit stage is
+        # store-cached by (key, subspec, seed), so warm replays are
+        # free, but a first audited run probes even untouched answers.
+        audit = (
+            run_audit(
+                new_config, specification, job, options, store, key,
+                payload, obs,
+            )
+            if options.audit
+            else None
+        )
+        served[job] = JobResult(
+            job=job, key=key, status=STATUS_CACHED, cached=True,
+            duration_s=0.0,
+            subspec=subspec_from_dict(payload["subspec"]).render(),
+            explanation=payload, metrics=obs.metrics, audit=audit,
+        )
+        if progress is not None:
+            progress(served[job])
+    batch = run_supervised(
+        new_config, specification, dirty, options, cache_dir, workers,
+        timeout, budget, scenario, policy, share=share,
+        progress=progress, stop=stop, fleet=fleet,
+    )
+    metrics = batch.metrics
+    for result in served.values():
+        metrics.merge(result.metrics)
+    served.update((result.job, result) for result in batch.results)
+    if drained:
+        metrics.count("farm.supervise.drained", drained)
+    metrics.count("farm.incremental.dirty", len(dirty))
+    metrics.count("farm.incremental.clean", len(clean))
+    return BatchReport(
+        scenario=scenario,
+        results=[served[job] for job in jobs if job in served],
+        workers=batch.workers,
+        wall_s=time.perf_counter() - started,
+        metrics=metrics,
+    )

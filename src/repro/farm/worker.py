@@ -383,7 +383,8 @@ def run_job(
                     )
                 obs.metrics.count("farm.cache.invalidated")
 
-        recorder = TransferRecorder(job.device)
+        # Nothing reads a read-set that cannot be stored.
+        recorder = TransferRecorder(job.device) if store is not None else None
         governor = (
             Governor.of(timeout=timeout, budget=budget)
             if timeout is not None or budget is not None
@@ -408,7 +409,11 @@ def run_job(
             except Exception:
                 obs.metrics.count("smt.session.certify_errors")
         payload = _answer_payload(explanation)
-        if store is not None and explanation.status is ExplanationStatus.EXACT:
+        if (
+            store is not None
+            and recorder is not None
+            and explanation.status is ExplanationStatus.EXACT
+        ):
             store.save(key, "explanation", payload)
             universe = _sketch_universe_of(sketch)
             store.save(key, "readset", recorder.payload(config, universe))

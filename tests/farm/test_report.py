@@ -13,14 +13,12 @@ files, the serving layer's result endpoint) depends on these bytes.
 import json
 import os
 
-import pytest
-
 from repro.explain import ExplanationStatus
 from repro.farm import report as report_mod
 from repro.farm.job import ExplainJob
-from repro.farm.pool import BatchReport
 from repro.farm.report import (
     ALL_STATUSES,
+    BatchReport,
     DEGRADED_STATUSES,
     OK_STATUSES,
     dump_document,
@@ -228,29 +226,3 @@ class TestNormalizeDocument:
         two = normalize_document(golden_report().to_dict())
         assert json.dumps(one, sort_keys=True) == json.dumps(two, sort_keys=True)
 
-
-class TestDeprecatedFarmRootImports:
-    @pytest.mark.parametrize(
-        "name", ["run_batch", "run_incremental", "run_supervised"]
-    )
-    def test_warns_but_resolves(self, name):
-        import importlib
-        import warnings
-
-        import repro.farm as farm
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            resolved = getattr(farm, name)
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        ), f"no DeprecationWarning for {name}"
-        submodule = "supervise" if name == "run_supervised" else "pool"
-        module = importlib.import_module(f"repro.farm.{submodule}")
-        assert resolved is getattr(module, name)
-
-    def test_unknown_attribute_still_raises(self):
-        import repro.farm as farm
-
-        with pytest.raises(AttributeError):
-            farm.definitely_not_a_thing

@@ -3,7 +3,7 @@
 import pickle
 
 from repro.farm import ExplainJob, FarmOptions, enumerate_jobs, run_job
-from repro.farm.pool import run_batch
+from repro.farm.supervise import run_supervised
 
 
 def test_failing_job_is_contained(s1):
@@ -17,7 +17,7 @@ def test_failing_job_is_contained(s1):
 def test_failing_job_does_not_kill_the_batch(s1):
     jobs = enumerate_jobs(s1.paper_config, s1.specification)
     poisoned = jobs + [ExplainJob("R3")]
-    report = run_batch(s1.paper_config, s1.specification, poisoned)
+    report = run_supervised(s1.paper_config, s1.specification, poisoned)
     assert report.failed == 1
     assert report.completed == len(jobs)
 
@@ -82,3 +82,33 @@ def test_partial_stage_hits_resume_mid_pipeline(s1, tmp_path):
     assert {**first.explanation, "timings": {}} == {
         **second.explanation, "timings": {},
     }
+
+
+
+def test_engine_without_store_builds_no_stage_payloads(s1, monkeypatch):
+    """Stage payloads exist only to be stored: an engine with no stage
+    store must not serialize its intermediate artifacts."""
+    import repro.explain.serialize as serialize
+    from repro.explain import ExplanationEngine
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("built a stage payload nothing stores")
+
+    for name in ("simplified_to_dict", "projected_to_dict", "lift_result_to_dict"):
+        monkeypatch.setattr(serialize, name, forbidden)
+    engine = ExplanationEngine(s1.paper_config, s1.specification)
+    explanation = engine.explain_router("R1", requirement="Req1")
+    assert explanation.status.value == "EXACT"
+
+
+def test_job_without_store_records_no_read_set(s1, monkeypatch):
+    import repro.farm.worker as worker
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("recorded a read-set nothing stores")
+
+    monkeypatch.setattr(worker, "TransferRecorder", forbidden)
+    result = run_job(
+        s1.paper_config, s1.specification, ExplainJob("R1", requirement="Req1")
+    )
+    assert result.status == "EXACT"
